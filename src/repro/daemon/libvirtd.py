@@ -9,6 +9,7 @@ lane, and fans lifecycle events out to subscribed clients.
 
 from __future__ import annotations
 
+import os
 import threading
 from contextlib import nullcontext
 from typing import Any, Callable, Dict, List, Optional
@@ -37,6 +38,7 @@ from repro.rpc.protocol import (
 )
 from repro.rpc.server import RPCServer
 from repro.rpc.transport import Listener, ServerConnection
+from repro.state.statedir import StateDir
 from repro.util.clock import Clock, VirtualClock
 from repro.util.threadpool import WorkerPool
 from repro.util.virtlog import LOG_ERROR, LOG_INFO, Logger
@@ -134,6 +136,8 @@ class Libvirtd:
         self.state_dir = state_dir
         #: per-driver recovery audit from startup (driver name -> stats)
         self.recovery: Dict[str, Dict[str, Any]] = {}
+        #: every StateDir this incarnation opened, closed when it ends
+        self._state_dirs: List[StateDir] = []
         if state_dir is not None:
             self._attach_persistence(state_dir)
         self.rpc.on_ping = self._on_keepalive_ping
@@ -216,14 +220,12 @@ class Libvirtd:
         its first call: a restarted daemon re-adopts running guests
         non-intrusively and fails interrupted jobs cleanly.
         """
-        import os
-
-        from repro.state import StateDir, StateJournal
+        from repro.state import StateJournal
 
         # the flight recorder recovers first: a previous incarnation's
         # tail names the dispatches its death interrupted, and those
         # spans must be closed before this incarnation starts tracing
-        self.flight_recorder.statedir = StateDir(os.path.join(root, "flightrec"))
+        self.flight_recorder.statedir = self._open_state_dir(root, "flightrec")
         tail = self.flight_recorder.recover()
         interrupted = 0
         for begun in interrupted_dispatches(tail):
@@ -257,7 +259,7 @@ class Libvirtd:
             if not hasattr(driver, "attach_state"):
                 continue
             journal = StateJournal(
-                StateDir(os.path.join(root, driver.name)), clock=self.clock
+                self._open_state_dir(root, driver.name), clock=self.clock
             )
             journal.on_append = (
                 lambda kind, key, lsn, name=driver.name: self.flight_recorder.record(
@@ -277,6 +279,16 @@ class Libvirtd:
                     f"domains, adopted {stats.get('adopted', 0)}, failed "
                     f"{len(stats.get('failed_jobs', []))} interrupted jobs",
                 )
+
+    def _open_state_dir(self, root: str, name: str) -> StateDir:
+        statedir = StateDir(os.path.join(root, name))
+        self._state_dirs.append(statedir)
+        return statedir
+
+    def _close_state_dirs(self) -> None:
+        """Release the kept-open append handles of every state file."""
+        for statedir in self._state_dirs:
+            statedir.close()
 
     def install_crash_plan(self, plan: Any) -> "Libvirtd":
         """Arm seeded daemon-kill injection on this incarnation.
@@ -337,6 +349,9 @@ class Libvirtd:
             listener.close_all()
         for timer_id in timers:
             self.eventloop.cancel(timer_id)
+        # the process is gone, and so are its open files; everything
+        # appended so far already reached the OS
+        self._close_state_dirs()
         unregister_daemon(self.hostname)
 
     # ==================================================================
@@ -829,6 +844,7 @@ class Libvirtd:
             pools = list(self.server_pools.values())
         for pool in pools:
             pool.shutdown()
+        self._close_state_dirs()
         unregister_daemon(self.hostname)
 
     def __enter__(self) -> "Libvirtd":

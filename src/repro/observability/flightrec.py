@@ -54,6 +54,11 @@ KIND_SHUTDOWN = "shutdown"
 KIND_RECOVERY = "recovery"
 
 
+def _encode(record: Dict[str, Any]) -> bytes:
+    """One record as its durable JSON line."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def read_tail(statedir: StateDir) -> "List[Dict[str, Any]]":
     """Parse the recorder file a previous incarnation left behind.
 
@@ -116,6 +121,9 @@ class FlightRecorder:
         self.capacity = capacity
         self._ring: "Deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._lock = threading.Lock()
+        #: serializes the durable file: held across "ring append + file
+        #: append" and across "snapshot + atomic rewrite"
+        self._io_lock = threading.Lock()
         self.statedir = statedir
         #: records written over this recorder's lifetime (ring evictions
         #: included), and records inherited from previous incarnations
@@ -134,21 +142,26 @@ class FlightRecorder:
         record: Dict[str, Any] = {"t": self._now(), "kind": kind}
         record.update(fields)
         record["life"] = self.incarnation
-        with self._lock:
-            self._ring.append(record)
-            self.records_total += 1
-        if self.statedir is not None:
-            self._persist(record)
+        statedir = self.statedir
+        if statedir is None:
+            with self._lock:
+                self._ring.append(record)
+                self.records_total += 1
+            return record
+        line = _encode(record)
+        # ring append + durable append under the I/O lock: a concurrent
+        # compaction either sees this record in its snapshot or runs
+        # after the append, never in between (which lost the record)
+        with self._io_lock:
+            with self._lock:
+                self._ring.append(record)
+                self.records_total += 1
+                self._file_records += 1
+                needs_compact = self._file_records > COMPACT_FACTOR * self.capacity
+            statedir.append(FLIGHT_FILE, line)
+            if needs_compact:
+                self._compact_locked(statedir)
         return record
-
-    def _persist(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.statedir.append(FLIGHT_FILE, line.encode("utf-8") + b"\n")
-        with self._lock:
-            self._file_records += 1
-            needs_compact = self._file_records > COMPACT_FACTOR * self.capacity
-        if needs_compact:
-            self.flush()
 
     # -- durability --------------------------------------------------------
 
@@ -156,18 +169,19 @@ class FlightRecorder:
         """Compact the durable tail to exactly the current ring (one
         atomic write).  Called on graceful shutdown and whenever the
         append-only file outgrows ``COMPACT_FACTOR`` times the ring."""
-        if self.statedir is None:
+        statedir = self.statedir
+        if statedir is None:
             return
+        with self._io_lock:
+            self._compact_locked(statedir)
+
+    def _compact_locked(self, statedir: StateDir) -> None:
+        """Snapshot + atomic rewrite; the caller holds ``_io_lock``."""
         with self._lock:
             records = list(self._ring)
             self._file_records = len(records)
             self.compactions += 1
-        payload = b"".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")).encode("utf-8")
-            + b"\n"
-            for r in records
-        )
-        self.statedir.write_atomic(FLIGHT_FILE, payload)
+        statedir.write_atomic(FLIGHT_FILE, b"".join(_encode(r) for r in records))
 
     def recover(self) -> "List[Dict[str, Any]]":
         """Load the previous incarnation's tail into the ring.

@@ -12,12 +12,21 @@ Appends (the journal path) are deliberately *not* atomic: a torn tail
 after a crash is exactly the failure :class:`repro.state.journal`
 recovery must tolerate, so :meth:`append` exposes the raw behaviour
 and even lets callers write a partial suffix on purpose.
+
+Appends go through one unbuffered ``O_APPEND`` handle per file, kept
+open between calls: every append hands all of its bytes to the OS
+before it returns, so a ``kill -9`` loses nothing that a per-call
+open/write/close would have kept, without paying for the open and
+close on every record.  Replacing, truncating or removing a file drops
+its handle first, so the next append opens the new file;
+:meth:`StateDir.close` releases every handle.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+import threading
+from typing import BinaryIO, Dict, List, Optional
 
 from repro.errors import InvalidArgumentError
 
@@ -30,6 +39,10 @@ class StateDir:
             raise InvalidArgumentError("state directory path must be non-empty")
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
+        #: guards the append handles and every operation that swaps the
+        #: file underneath one (replace, truncate, remove)
+        self._lock = threading.Lock()
+        self._handles: Dict[str, BinaryIO] = {}
 
     def path(self, name: str) -> str:
         if not name or os.sep in name or name.startswith("."):
@@ -62,31 +75,62 @@ class StateDir:
         """
         target = self.path(name)
         tmp = f"{target}.tmp"
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        with self._lock:
+            self._drop_locked(name)
+            with open(tmp, "wb") as handle:
+                handle.write(data)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, target)
 
     def append(self, name: str, data: bytes) -> None:
-        """Append raw bytes — intentionally non-atomic (journal tail)."""
-        with open(self.path(name), "ab") as handle:
-            handle.write(data)
-            handle.flush()
+        """Append raw bytes — intentionally non-atomic (journal tail).
+
+        All of ``data`` reaches the OS before this returns (short writes
+        are retried), so it survives the process being killed.
+        """
+        path = self.path(name)
+        with self._lock:
+            handle = self._handles.get(name)
+            if handle is None:
+                handle = self._handles[name] = open(path, "ab", buffering=0)
+            view = memoryview(data)
+            while view:
+                view = view[handle.write(view):]
 
     def truncate(self, name: str, size: int = 0) -> None:
         """Cut the file down to ``size`` bytes (recovery discards a torn
         tail this way); creates the file if missing."""
-        with open(self.path(name), "ab") as handle:
-            pass
-        with open(self.path(name), "r+b") as handle:
-            handle.truncate(size)
+        path = self.path(name)
+        with self._lock:
+            self._drop_locked(name)
+            with open(path, "ab") as handle:
+                pass
+            with open(path, "r+b") as handle:
+                handle.truncate(size)
 
     def remove(self, name: str) -> None:
-        try:
-            os.remove(self.path(name))
-        except FileNotFoundError:
-            pass
+        path = self.path(name)
+        with self._lock:
+            self._drop_locked(name)
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
+
+    def close(self) -> None:
+        """Release every kept-open append handle (idempotent); a later
+        append simply reopens its file."""
+        with self._lock:
+            handles = list(self._handles.values())
+            self._handles.clear()
+        for handle in handles:
+            handle.close()
+
+    def _drop_locked(self, name: str) -> None:
+        handle = self._handles.pop(name, None)
+        if handle is not None:
+            handle.close()
 
     def list(self) -> List[str]:
         return sorted(

@@ -13,6 +13,19 @@ Mirrors libvirt's ``virThreadPool``:
   and after finishing a job (libvirt's ``virThreadPoolWorkerQuitHelper``
   design, which avoids the deadlock of queueing "poison" jobs while
   holding the pool lock).
+
+Wakeups follow ``virThreadPoolSendJob``: each lane has its own
+condition over the one pool lock (ordinary workers wait on ``_cond``,
+priority workers on ``_prio_cond``), and a submit *signals one* worker
+— one ordinary waiter, plus one priority waiter when the job is
+high-priority — instead of waking every idle thread to race for a
+single job.  A worker re-checks the queues before it waits again, so a
+job queued while no waiter is idle is picked up by whichever worker
+finishes first.  Broadcasts are kept for the moments every worker must
+re-check its state: :meth:`WorkerPool.set_parameters`,
+:meth:`WorkerPool.shutdown`, and a worker's exit — the last one means a
+worker that wakes for a job and then quits as surplus hands that
+wakeup on rather than stranding the job.
 """
 
 from __future__ import annotations
@@ -93,7 +106,10 @@ class WorkerPool:
                 lambda: self._n_prio_workers
             )
         self._lock = threading.Lock()
+        #: one condition per lane over the shared lock (libvirt's
+        #: ``cond``/``prioCond``): ordinary and priority workers wait apart
         self._cond = threading.Condition(self._lock)
+        self._prio_cond = threading.Condition(self._lock)
         self._queue: "Deque[_Job]" = deque()
         self._prio_queue: "Deque[_Job]" = deque()
         self._min_workers = min_workers
@@ -141,7 +157,9 @@ class WorkerPool:
             pending = len(self._queue) + len(self._prio_queue)
             if pending > self._free_workers and self._n_workers < self._max_workers:
                 self._spawn_locked(priority=False)
-            self._cond.notify_all()
+            self._cond.notify()
+            if priority:
+                self._prio_cond.notify()
         return job.future
 
     def set_parameters(
@@ -166,7 +184,7 @@ class WorkerPool:
             while self._n_prio_workers < self._want_prio_workers:
                 self._spawn_locked(priority=True)
             # surplus workers notice the new limits via the quit helper
-            self._cond.notify_all()
+            self._wake_all_locked()
 
     def stats(self) -> Dict[str, int]:
         """Snapshot of the pool counters, keyed like ``srv-threadpool-info``."""
@@ -206,7 +224,7 @@ class WorkerPool:
                 self._prio_queue.clear()
             else:
                 cancelled = []
-            self._cond.notify_all()
+            self._wake_all_locked()
         for job in cancelled:
             _deliver(
                 job.future.set_exception,
@@ -241,6 +259,11 @@ class WorkerPool:
         self._threads.append(thread)
         thread.start()
 
+    def _wake_all_locked(self) -> None:
+        """Broadcast on both lanes: every worker re-checks its state."""
+        self._cond.notify_all()
+        self._prio_cond.notify_all()
+
     def _should_quit_locked(self, priority: bool) -> bool:
         """The quit helper: has this worker become surplus?"""
         if priority:
@@ -257,7 +280,9 @@ class WorkerPool:
                         self._n_prio_workers -= 1
                     else:
                         self._n_workers -= 1
-                    self._cond.notify_all()
+                    # pass on any wakeup this worker consumed but will
+                    # not act on, so no queued job is stranded
+                    self._wake_all_locked()
                     break
             # a Future cancelled while queued must not execute — and must
             # not kill this worker with InvalidStateError on delivery
@@ -295,13 +320,14 @@ class WorkerPool:
                 return self._queue.popleft()
             if self._quit:
                 return None
-            if not priority:
-                self._free_workers += 1
+            if priority:
+                self._prio_cond.wait()
+                continue
+            self._free_workers += 1
             try:
                 self._cond.wait()
             finally:
-                if not priority:
-                    self._free_workers -= 1
+                self._free_workers -= 1
 
 
 def _deliver(setter: Callable[[Any], None], payload: Any) -> None:

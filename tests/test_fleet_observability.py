@@ -15,6 +15,7 @@ Four pillars under test:
 """
 
 import math
+import threading
 
 import pytest
 
@@ -436,6 +437,7 @@ class TestFlightRecorderUnit:
         recorder.record("rpc.begin", server="s", serial=9)
         tail = read_tail(statedir)
         assert len(tail) == 1 and tail[0]["serial"] == 9
+        statedir.close()
 
     def test_compaction_bounds_the_file(self, tmp_path):
         clock = VirtualClock()
@@ -445,6 +447,46 @@ class TestFlightRecorderUnit:
             recorder.record("event", n=index)
         assert recorder.compactions >= 1
         assert len(read_tail(statedir)) <= 4 * 4 + 4  # COMPACT_FACTOR * cap + slack
+        statedir.close()
+
+    def test_compaction_never_loses_a_concurrent_record(self, tmp_path):
+        """Regression: ``record`` appended to the ring under the lock but
+        wrote the file outside it, so a ``flush`` could snapshot the
+        ring, let an ``rpc.end`` reach the old file, and then replace
+        the file without it — the next recovery closed a completed
+        dispatch as interrupted."""
+        clock = VirtualClock()
+        statedir = StateDir(str(tmp_path))
+        recorder = FlightRecorder(clock.now, capacity=8, statedir=statedir)
+        recorder.record("rpc.begin", server="s", serial=1)
+        snapshot_taken = threading.Barrier(2, timeout=5)
+        ended = threading.Event()
+        real_write_atomic = statedir.write_atomic
+
+        def write_atomic(name, data):
+            # the compaction holds its snapshot: let the end record race
+            # it, then give it a moment to finish before the rewrite
+            snapshot_taken.wait()
+            ended.wait(timeout=0.3)
+            real_write_atomic(name, data)
+
+        statedir.write_atomic = write_atomic
+
+        def end_dispatch():
+            recorder.record("rpc.end", server="s", serial=1)
+            ended.set()
+
+        flusher = threading.Thread(target=recorder.flush)
+        flusher.start()
+        snapshot_taken.wait()
+        ender = threading.Thread(target=end_dispatch)
+        ender.start()
+        for thread in (flusher, ender):
+            thread.join(timeout=5)
+        tail = read_tail(statedir)
+        assert [r["kind"] for r in tail] == ["rpc.begin", "rpc.end"]
+        assert interrupted_dispatches(tail) == []
+        statedir.close()
 
     def test_recover_seeds_ring_and_bumps_incarnation(self, tmp_path):
         clock = VirtualClock()
@@ -457,6 +499,7 @@ class TestFlightRecorderUnit:
         assert second.recovered_records == 1
         second.record("rpc.end", server="s", serial=1)
         assert [r["life"] for r in second.records()] == [0, 1]
+        statedir.close()
 
     def test_torn_final_line_is_tolerated(self, tmp_path):
         clock = VirtualClock()
@@ -466,6 +509,7 @@ class TestFlightRecorderUnit:
         statedir.append("flightrec.log", b'{"kind": "event", "torn')
         tail = read_tail(statedir)
         assert len(tail) == 1 and tail[0]["n"] == 1
+        statedir.close()
 
     def test_interrupted_dispatch_detection(self):
         records = [

@@ -9,10 +9,15 @@ full daemon.
 """
 
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from repro.errors import InvalidArgumentError
+from repro.faults import CrashHarness
 from repro.state import StateDir, StateJournal
 from repro.state.journal import APPEND_COST_S, REPLAY_COST_S
 from repro.util.clock import VirtualClock
@@ -20,7 +25,9 @@ from repro.util.clock import VirtualClock
 
 @pytest.fixture()
 def statedir(tmp_path):
-    return StateDir(str(tmp_path / "state"))
+    statedir = StateDir(str(tmp_path / "state"))
+    yield statedir
+    statedir.close()
 
 
 @pytest.fixture()
@@ -63,6 +70,118 @@ class TestStateDir:
         statedir.remove("f")
         statedir.remove("f")
         assert not statedir.exists("f")
+
+
+class TestStateDirAppendHandles:
+    """``append`` keeps one handle per file open between calls."""
+
+    def test_append_after_write_atomic_lands_in_new_file(self, statedir):
+        statedir.append("log", b"old-")
+        statedir.write_atomic("log", b"new-")
+        statedir.append("log", b"tail")
+        assert statedir.read_bytes("log") == b"new-tail"
+
+    def test_append_after_truncate_lands_in_new_file(self, statedir):
+        statedir.append("log", b"aaaa")
+        statedir.truncate("log", 0)
+        statedir.append("log", b"bb")
+        assert statedir.read_bytes("log") == b"bb"
+
+    def test_append_after_remove_recreates_the_file(self, statedir):
+        statedir.append("log", b"gone")
+        statedir.remove("log")
+        assert not statedir.exists("log")
+        statedir.append("log", b"back")
+        assert statedir.read_bytes("log") == b"back"
+
+    def test_appended_bytes_visible_without_close(self, statedir):
+        for chunk in (b"one\n", b"two\n"):
+            statedir.append("log", chunk)
+        # nothing buffered in the process: another reader sees every byte
+        assert statedir.read_bytes("log") == b"one\ntwo\n"
+        assert statedir.size("log") == 8
+
+    def test_short_writes_are_retried(self, statedir):
+        statedir.append("log", b"")  # opens the handle
+        real = statedir._handles["log"]
+
+        class Trickle:
+            def write(self, data):
+                return real.write(bytes(data[:3]))
+
+            def close(self):
+                real.close()
+
+        statedir._handles["log"] = Trickle()
+        statedir.append("log", b"0123456789")
+        assert statedir.read_bytes("log") == b"0123456789"
+
+    def test_appends_survive_kill_9(self, tmp_path):
+        root = str(tmp_path / "killed")
+        child = textwrap.dedent(
+            f"""
+            import os, signal
+            from repro.state import StateDir
+            statedir = StateDir({root!r})
+            statedir.append("log", b"first\\n")
+            statedir.append("log", b"second\\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", child], env=env, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        assert StateDir(root).read_bytes("log") == b"first\nsecond\n"
+
+    def test_close_is_idempotent_and_append_reopens(self, statedir):
+        statedir.append("a", b"1")
+        statedir.append("b", b"2")
+        statedir.close()
+        statedir.close()
+        statedir.append("a", b"3")
+        assert statedir.read_bytes("a") == b"13"
+        assert statedir.read_bytes("b") == b"2"
+
+    def test_journal_torn_tail_recovery_unchanged(self, statedir):
+        first = StateJournal(statedir)
+        first.put("domain", "vm1", {"id": 1})
+        first.append_torn("domain", "vm2", {"id": 2})
+        # recovery truncates the torn tail under the still-open handle;
+        # the next append must extend the clean log, not the old offset
+        second = StateJournal(statedir)
+        assert second.torn_tail_discarded
+        assert second.get("domain", "vm2") is None
+        second.put("domain", "vm3", {"id": 3})
+        fresh = StateDir(statedir.root)
+        third = StateJournal(fresh)
+        assert not third.torn_tail_discarded
+        assert set(third.entries("domain")) == {"vm1", "vm3"}
+        fresh.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_crash_restart_cycles_leak_no_fds(self, tmp_path):
+        from repro.xmlconfig.domain import DomainConfig
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        harness = CrashHarness(str(tmp_path / "fds"), hostname="fdcycle")
+        before = open_fds()
+        harness.start()
+        for cycle in range(50):
+            # a define journals and leaves a flight-recorder line, so
+            # both state directories hold an append handle at the crash
+            harness.driver().domain_define_xml(
+                DomainConfig(
+                    name=f"vm{cycle}", domain_type="kvm", memory_kib=1024, vcpus=1
+                ).to_xml()
+            )
+            harness.daemon.crash()
+            harness.restart()
+        harness.shutdown()
+        assert open_fds() == before
 
 
 class TestJournalBasics:
@@ -215,6 +334,7 @@ class TestCheckpoint:
         # full replay pays per-record; the snapshot path pays a fixed
         # load plus a far cheaper per-entry cost
         assert full_cost >= 400 * REPLAY_COST_S
+        flat.close()
 
     def test_modelled_costs_only_with_clock(self, statedir):
         clock = VirtualClock()
@@ -225,3 +345,4 @@ class TestCheckpoint:
         # a clockless journal never advances anybody's time
         silent = StateJournal(StateDir(statedir.root + "-s"))
         silent.put("domain", "vm1", {"id": 1})
+        silent.statedir.close()

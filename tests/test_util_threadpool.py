@@ -1,7 +1,10 @@
 """Tests for the workerpool (repro.util.threadpool)."""
 
+import random
+import sys
 import threading
 import time
+from concurrent.futures import wait as wait_futures
 
 import pytest
 
@@ -138,6 +141,117 @@ class TestPriorityLane:
         with WorkerPool(min_workers=1, max_workers=1, prio_workers=0) as pool:
             future = pool.submit(lambda: "prio", priority=True)
             assert future.result(timeout=5) == "prio"
+
+
+class TestWakeups:
+    """``submit`` signals one worker per lane (``virThreadPoolSendJob``)."""
+
+    @staticmethod
+    def _count_waits(pool):
+        """Route both lanes' ``wait`` through counters.  ``wait`` runs
+        with the pool lock held on entry and exit, so the counters are
+        only ever touched under that lock."""
+        counts = {"waiting": 0, "woken": 0}
+        for cond in (pool._cond, pool._prio_cond):
+            def counted(timeout=None, _real=cond.wait):
+                counts["waiting"] += 1
+                try:
+                    return _real(timeout)
+                finally:
+                    counts["waiting"] -= 1
+                    counts["woken"] += 1
+
+            cond.wait = counted
+        return counts
+
+    def test_one_submit_wakes_exactly_one_waiter(self):
+        with WorkerPool(min_workers=5, max_workers=5, prio_workers=5) as pool:
+            assert wait_for(lambda: pool.stats()["freeWorkers"] == 5)
+            counts = self._count_waits(pool)
+            # a broadcast sends every worker back into the counted wait
+            pool.set_parameters()
+            assert wait_for(lambda: counts["waiting"] == 10)
+            with pool._lock:
+                counts["woken"] = 0
+            assert pool.submit(lambda: "done").result(timeout=5) == "done"
+            assert wait_for(lambda: counts["waiting"] == 10)
+            time.sleep(0.05)  # room for any stray wakeup to show up
+            with pool._lock:
+                assert counts["woken"] == 1
+
+    def test_priority_job_runs_while_every_ordinary_worker_is_blocked(self):
+        gate = threading.Event()
+        with WorkerPool(min_workers=5, max_workers=5, prio_workers=5) as pool:
+            assert wait_for(lambda: pool.stats()["freeWorkers"] == 5)
+            blockers = [pool.submit(gate.wait) for _ in range(7)]
+            assert wait_for(
+                lambda: pool.stats()["freeWorkers"] == 0
+                and pool.stats()["jobQueueDepth"] == 2
+            )
+            critical = pool.submit(lambda: threading.current_thread().name, priority=True)
+            assert "prio-worker" in critical.result(timeout=5)
+            assert not any(f.done() for f in blockers)
+            gate.set()
+            for f in blockers:
+                f.result(timeout=5)
+
+    def test_job_queued_while_max_is_lowered_still_runs(self):
+        """Lost-wakeup regression: the worker a submit signals may wake
+        only to quit as surplus; the job must still find a worker."""
+        rng = random.Random(12)
+        for _ in range(40):
+            with WorkerPool(min_workers=4, max_workers=4, prio_workers=1) as pool:
+                assert wait_for(lambda: pool.stats()["freeWorkers"] == 4)
+                futures = []
+                for step in rng.sample(["a", "b", "lower"], 3):
+                    if step == "lower":
+                        pool.set_parameters(min_workers=1, max_workers=1)
+                    else:
+                        futures.append(pool.submit(lambda s=step: s))
+                assert sorted(f.result(timeout=5) for f in futures) == ["a", "b"]
+                assert wait_for(lambda: pool.stats()["nWorkers"] == 1)
+
+
+@pytest.mark.stress
+class TestSubmitSoak:
+    def test_mixed_lane_submitters_finish_every_future(self):
+        with WorkerPool(min_workers=1, max_workers=4, prio_workers=2) as pool:
+            futures = []
+            lock = threading.Lock()
+
+            def submitter(seed):
+                rng = random.Random(seed)
+                mine = []
+                for index in range(500):
+                    mine.append(pool.submit(
+                        lambda i=index: i, priority=rng.random() < 0.3
+                    ))
+                    if rng.random() < 0.01:
+                        time.sleep(0.001)
+                with lock:
+                    futures.extend(mine)
+
+            def resizer():
+                for max_workers in (2, 4, 1, 3, 4):
+                    pool.set_parameters(min_workers=1, max_workers=max_workers)
+                    time.sleep(0.01)
+
+            threads = [threading.Thread(target=submitter, args=(seed,)) for seed in range(4)]
+            threads.append(threading.Thread(target=resizer))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # force fine-grained interleaving
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(futures) == 2000
+            _, not_done = wait_futures(futures, timeout=30)
+            assert not not_done
+            assert pool.jobs_completed == 2000
 
 
 class TestRuntimeReconfiguration:
