@@ -88,6 +88,7 @@ class _PendingCall:
         "bound_is_keepalive",
         "started",
         "cond",
+        "message",
         "outcome",
         "raw",
         "reason",
@@ -112,17 +113,27 @@ class _PendingCall:
         self.cond = threading.Condition()
         #: None while in flight; then "reply" | "lost" | "closed" | "desync"
         self.outcome: "Optional[str]" = None
+        #: the reply frame: undecoded bytes from the inline and batch
+        #: paths, or the message the async demultiplexer already decoded
         self.raw: "Optional[bytes]" = None
+        self.message: "Optional[RPCMessage]" = None
         self.reason: "Optional[str]" = None
         #: detached rpc.call span (tracing enabled only)
         self.span: "Optional[Span]" = None
 
-    def resolve(self, outcome: str, raw: "Optional[bytes]" = None, reason: "Optional[str]" = None) -> None:
+    def resolve(
+        self,
+        outcome: str,
+        raw: "Optional[bytes]" = None,
+        reason: "Optional[str]" = None,
+        message: "Optional[RPCMessage]" = None,
+    ) -> None:
         with self.cond:
             if self.outcome is not None:
                 return  # first resolution wins
             self.outcome = outcome
             self.raw = raw
+            self.message = message
             self.reason = reason
             self.cond.notify_all()
 
@@ -655,11 +666,12 @@ class RPCClient:
             )
         if entry.outcome == "desync":
             raise RPCError(entry.reason or "reply stream desynchronized")
-        raw_reply = entry.raw
-        try:
-            reply = RPCMessage.unpack(raw_reply)
-        except RPCError as exc:
-            self._desynchronize(f"unparsable reply to {entry.procedure}: {exc}")
+        reply = entry.message
+        if reply is None:
+            try:
+                reply = RPCMessage.unpack(entry.raw)
+            except RPCError as exc:
+                self._desynchronize(f"unparsable reply to {entry.procedure}: {exc}")
         if reply.mtype != MessageType.REPLY:
             self._desynchronize(f"expected REPLY, got {reply.mtype.name}")
         if reply.serial != entry.serial:
@@ -743,7 +755,7 @@ class RPCClient:
             return
         if out_of_order and self.metrics is not None:
             self._m_ooo.inc()
-        entry.resolve("reply", raw=data)
+        entry.resolve("reply", message=message)
 
     def _on_reply_lost(self, token: Any, reason: str) -> None:
         """Channel notification that a pending reply can never arrive."""

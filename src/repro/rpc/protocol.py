@@ -27,10 +27,13 @@ format, and decoders that predate the field never looked past the body
 from __future__ import annotations
 
 import enum
+import struct
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import RPCError
-from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.rpc.xdr import XdrDecoder, decode_value, encode_parts
+# the codec entry points stay reachable under this module's names
+from repro.rpc.xdr import encode_value  # noqa: F401
 
 #: the main program (libvirt's REMOTE_PROGRAM analogue)
 PROGRAM_REMOTE = 0x20008086
@@ -62,6 +65,12 @@ class ReplyStatus(enum.IntEnum):
     ERROR = 1
     #: stream frame carrying data or flow-control (``VIR_NET_CONTINUE``)
     CONTINUE = 2
+
+
+#: the seven header words, read and written in one call
+_HEADER = struct.Struct(">7I")
+_MESSAGE_TYPES = {int(m): m for m in MessageType}
+_REPLY_STATUSES = {int(s): s for s in ReplyStatus}
 
 
 #: stable procedure numbers — append-only, never renumber
@@ -226,9 +235,13 @@ class RPCMessage:
         trace: "Optional[Dict[str, int]]" = None,
     ) -> None:
         self.procedure = procedure
-        self.mtype = MessageType(mtype)
+        # plain dict lookups first: an enum call costs more than the rest
+        # of the constructor, and the lookup fails only for a bad value
+        message_type = _MESSAGE_TYPES.get(mtype)
+        self.mtype = MessageType(mtype) if message_type is None else message_type
         self.serial = serial
-        self.status = ReplyStatus(status)
+        reply_status = _REPLY_STATUSES.get(status)
+        self.status = ReplyStatus(status) if reply_status is None else reply_status
         self.body = body
         self.program = program
         self.version = version
@@ -236,54 +249,60 @@ class RPCMessage:
         self.trace = trace
 
     def pack(self) -> bytes:
-        """Serialize to the framed wire form."""
-        body = encode_value(self.body)
+        """Serialize to the framed wire form in one join: header, body
+        parts and trace parts (a buffer-typed body is copied only here)."""
+        parts: list = [b""]
+        append = parts.append
+        encode_parts(append, self.body)
         if self.trace is not None:
-            body += encode_value(dict(self.trace))
-        enc = XdrEncoder()
-        enc.pack_uint(HEADER_BYTES + len(body))
-        enc.pack_uint(self.program)
-        enc.pack_uint(self.version)
-        enc.pack_uint(self.procedure)
-        enc.pack_uint(int(self.mtype))
-        enc.pack_uint(self.serial)
-        enc.pack_uint(int(self.status))
-        data = enc.data() + body
-        if len(data) > MAX_MESSAGE:
-            raise RPCError(f"message too large: {len(data)} bytes")
-        return data
+            encode_parts(append, dict(self.trace))
+        length = HEADER_BYTES + sum(map(len, parts))
+        if length > MAX_MESSAGE:
+            raise RPCError(f"message too large: {length} bytes")
+        words = (
+            length,
+            self.program,
+            self.version,
+            self.procedure,
+            self.mtype,
+            self.serial,
+            self.status,
+        )
+        try:
+            parts[0] = _HEADER.pack(*words)
+        except struct.error as exc:
+            raise RPCError(f"cannot pack message header {words}: {exc}") from exc
+        return b"".join(parts)
 
     @staticmethod
-    def unpack(data: bytes) -> "RPCMessage":
-        """Parse one framed message; the buffer must hold exactly one."""
+    def unpack(data: "bytes | memoryview") -> "RPCMessage":
+        """Parse one framed message; the buffer must hold exactly one.
+
+        The body is decoded in place from offset ``HEADER_BYTES``; over
+        a ``memoryview`` its opaques are sub-views of ``data``."""
         if len(data) < HEADER_BYTES:
             raise RPCError(f"short message: {len(data)} bytes")
-        dec = XdrDecoder(data)
-        length = dec.unpack_uint()
+        length, program, version, procedure, mtype, serial, status = _HEADER.unpack_from(data)
         if length != len(data):
             raise RPCError(f"frame length {length} != buffer length {len(data)}")
-        program = dec.unpack_uint()
         if program not in KNOWN_PROGRAMS:
             raise RPCError(f"unknown program 0x{program:x}")
-        version = dec.unpack_uint()
         if version != PROTOCOL_VERSION:
             raise RPCError(f"unsupported protocol version {version}")
-        procedure = dec.unpack_uint()
-        try:
-            mtype = MessageType(dec.unpack_uint())
-        except ValueError as exc:
-            raise RPCError(f"bad message type: {exc}") from exc
-        serial = dec.unpack_uint()
-        try:
-            status = ReplyStatus(dec.unpack_uint())
-        except ValueError as exc:
-            raise RPCError(f"bad reply status: {exc}") from exc
-        payload = XdrDecoder(data[HEADER_BYTES:])
+        message_type = _MESSAGE_TYPES.get(mtype)
+        if message_type is None:
+            raise RPCError(f"bad message type: {mtype} is not a valid MessageType")
+        reply_status = _REPLY_STATUSES.get(status)
+        if reply_status is None:
+            raise RPCError(f"bad reply status: {status} is not a valid ReplyStatus")
+        payload = XdrDecoder(data, HEADER_BYTES)
         body = decode_value(payload)
         trace = None
         if payload.remaining():
-            # optional trailing trace-context value; anything malformed
-            # degrades to "no context" rather than failing the frame
+            # optional trailing trace-context value.  Bytes that do not
+            # decode (unknown tag, underrun, trailing bytes) fail the
+            # frame; a value that decodes but has the wrong shape
+            # degrades to "no context"
             extra = decode_value(payload)
             payload.done()
             if isinstance(extra, dict):
@@ -292,7 +311,7 @@ class RPCMessage:
                 if isinstance(trace_id, int) and isinstance(span_id, int):
                     trace = {"trace_id": trace_id, "span_id": span_id}
         return RPCMessage(
-            procedure, mtype, serial, status, body, program, version, trace=trace
+            procedure, message_type, serial, reply_status, body, program, version, trace=trace
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -297,17 +297,20 @@ class WorkerPool:
                     max(0.0, started - job.enqueued_at)
                 )
             try:
-                result = job.func(*job.args, **job.kwargs)
+                outcome = job.func(*job.args, **job.kwargs)
+                settle = job.future.set_result
             except BaseException as exc:  # noqa: BLE001 - forwarded via the future
-                _deliver(job.future.set_exception, exc)
-            else:
-                _deliver(job.future.set_result, result)
+                outcome = exc
+                settle = job.future.set_exception
+            # count the job before delivering it: whoever the future
+            # wakes must already see it in jobs_completed
             if self.metrics is not None:
                 self._m_service.labels(pool=self.name).observe(
                     max(0.0, self._now() - started)
                 )
             with self._lock:
                 self._jobs_completed += 1
+            _deliver(settle, outcome)
 
     def _take_job_locked(self, priority: bool) -> "Optional[_Job]":
         """Wait for and dequeue a job; None means the worker must exit."""

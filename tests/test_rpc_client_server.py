@@ -126,13 +126,36 @@ class TestWithWorkerPool:
             )
             result = client.call("connect.ping")
             assert "worker" in result
-            # the counter increments just after the future resolves; poll
+            # the job ends after its handler has sent the reply; poll
             import time
 
             deadline = time.monotonic() + 5
             while pool.jobs_completed < 1 and time.monotonic() < deadline:
                 time.sleep(0.005)
             assert pool.jobs_completed >= 1
+
+    def test_pooled_call_decodes_each_frame_once(self, clock, monkeypatch):
+        """One call through a pooled server unpacks two frames: the CALL
+        on the server and the REPLY on the client, which hands the
+        message it demultiplexed to the waiting caller."""
+        unpack = RPCMessage.unpack
+        decoded = []
+
+        def counting_unpack(data):
+            message = unpack(data)
+            decoded.append(message.mtype)
+            return message
+
+        with WorkerPool(min_workers=2, max_workers=4) as pool:
+            client, _, _ = make_pair(
+                clock,
+                pool=pool,
+                handlers={"connect.ping": lambda conn, body: {"pong": body}},
+            )
+            assert client.call("connect.ping", "warm") == {"pong": "warm"}
+            monkeypatch.setattr(RPCMessage, "unpack", staticmethod(counting_unpack))
+            assert client.call("connect.ping", "x") == {"pong": "x"}
+        assert decoded == [MessageType.CALL, MessageType.REPLY]
 
     def test_priority_procedure_uses_priority_lane(self, clock):
         gate = threading.Event()

@@ -210,3 +210,165 @@ class TestFramingBoundaries:
             (MessageType.REPLY, 1),
         ]
         assert bytes(decoded[1].body) == b"stream bytes"
+
+
+# ---------------------------------------------------------------------------
+# Golden wire bytes
+# ---------------------------------------------------------------------------
+
+_GOLDEN_XML = (
+    "<domain type='kvm'>\n"
+    "  <name>golden</name>\n"
+    "  <uuid>123e4567-e89b-42d3-a456-426614174000</uuid>\n"
+    "  <memory unit='KiB'>1048576</memory>\n"
+    "  <vcpu>2</vcpu>\n"
+    "  <os><type arch='x86_64'>hvm</type></os>\n"
+    "  <devices><disk type='file'><target dev='vda'/></disk></devices>\n"
+    "</domain>\n"
+)
+#: 256 KiB of a fixed byte pattern: one default-sized stream chunk
+_GOLDEN_CHUNK = bytes(range(256)) * 1024
+
+
+def _golden_messages():
+    """One message per frame shape the daemon and client exchange."""
+    from repro.rpc.protocol import EVENT_BUS_RECORD, make_ping, make_pong
+    from repro.util.typedparams import ParamType, TypedParameter, TypedParamList
+
+    traced = RPCMessage(
+        procedure_number("domain.get_info"), MessageType.CALL, 41, body={"name": "web1"}
+    )
+    traced.trace = {"trace_id": 0x1234567890ABCDEF, "span_id": 7}
+    params = TypedParamList(
+        [
+            TypedParameter("cpu_shares", ParamType.ULLONG, 2**63 + 5),
+            TypedParameter("vcpu_quota", ParamType.LLONG, -(2**40)),
+            TypedParameter("minWorkers", ParamType.UINT, 5),
+            TypedParameter("delta", ParamType.INT, -3),
+            TypedParameter("ratio", ParamType.DOUBLE, 0.75),
+            TypedParameter("enabled", ParamType.BOOLEAN, True),
+            TypedParameter("label", ParamType.STRING, "produkce-č"),
+        ]
+    )
+    return {
+        "call_with_trace": traced,
+        "reply_info_dict": RPCMessage(
+            procedure_number("domain.get_info"),
+            MessageType.REPLY,
+            41,
+            body={
+                "state": 1,
+                "max_memory_kib": 1048576,
+                "memory_kib": 524288,
+                "vcpus": 2,
+                "cpu_seconds": 12.5,
+            },
+        ),
+        "reply_state": RPCMessage(
+            procedure_number("domain.get_state"), MessageType.REPLY, 42, body=1
+        ),
+        "reply_xml": RPCMessage(
+            procedure_number("domain.get_xml_desc"), MessageType.REPLY, 43, body=_GOLDEN_XML
+        ),
+        "reply_name_list": RPCMessage(
+            procedure_number("connect.list_defined_domains"),
+            MessageType.REPLY,
+            44,
+            body=[f"guest-{i:03d}" + "x" * (i % 4) for i in range(200)],
+        ),
+        "reply_error": RPCMessage(
+            procedure_number("domain.create"),
+            MessageType.REPLY,
+            45,
+            ReplyStatus.ERROR,
+            {"code": 42, "domain": 10, "level": 2, "message": "domain 'ghost' not found"},
+        ),
+        "call_typed_params": RPCMessage(
+            procedure_number("domain.set_scheduler_params"),
+            MessageType.CALL,
+            46,
+            body={"name": "web1", "params": params, "empty": TypedParamList(), "flags": 0},
+        ),
+        "stream_chunk_256k": RPCMessage(
+            procedure_number("storage.vol_upload"),
+            MessageType.STREAM,
+            47,
+            ReplyStatus.CONTINUE,
+            memoryview(_GOLDEN_CHUNK),
+        ),
+        "keepalive_ping": make_ping(48),
+        "keepalive_pong": make_pong(48),
+        "event_bus_record": RPCMessage(
+            EVENT_BUS_RECORD,
+            MessageType.EVENT,
+            0,
+            body={
+                "seq": 9,
+                "kind": "domain",
+                "domain": "web1",
+                "event": 2,
+                "detail": 0,
+                "payload": None,
+                "persistent": True,
+                "tags": ["a", "", "b\x00c"],
+                "blob": b"\x01\x02\x03\x04\x05",
+            },
+        ),
+    }
+
+
+#: sha256 and length of every golden frame; pinned so any codec rewrite
+#: must keep the wire format byte for byte
+GOLDEN_FRAMES = {
+    "call_typed_params": ("6f96f9fd2bfbf6b14c54544b1304049fc556e1c65b372f7f9131a3658c71bac0", 296),
+    "call_with_trace": ("6329cac0880572ae1a78a3a90275b292d48e98f16705d4595e658a6c0fddf34e", 112),
+    "event_bus_record": ("8e1413e3f311688528fed6c0998a5ab762422073a9294fc1428bf10055f23172", 260),
+    "keepalive_ping": ("05740827fcb4377e661ebe195eaa5849eaae92e1e2a7fd5814c2dea5501f74bb", 32),
+    "keepalive_pong": ("0d1d2963baa415f6cb13acc39617e20ed4b1b5d858e1e79877a28a78f903d9c6", 32),
+    "reply_error": ("1e4bca7347ccc4e5d02b5f6e057d18d458c8f91d00bb9118d04dd9e3abbf8671", 148),
+    "reply_info_dict": ("63b76919ef7896c59167cf4f0e1d506e3e0fdaa912ebe18d92dcfe16e30be9ed", 172),
+    "reply_name_list": ("311dc6b6b4215d3a3a0cfdaca24d5d97976000846687a1e54708d41d47635887", 4036),
+    "reply_state": ("cd20df1b2532bd4c66bb22064a2d95ebe739d8e8e95ea8902b33a46d6f744fbe", 40),
+    "reply_xml": ("8c3f5237e4eeeec9c7367a88e2ccf2542863f693fcbca90d090ca2cd757d7ebf", 304),
+    "stream_chunk_256k": ("06f15c5de8a6f14791bb9628ccdb8cd458520449347c1838a79e91ed84ca71b1", 262180),
+}
+
+
+class TestGoldenWireBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_frame_bytes_are_pinned(self, name):
+        import hashlib
+
+        frame = _golden_messages()[name].pack()
+        digest, length = GOLDEN_FRAMES[name]
+        assert len(frame) == length
+        assert hashlib.sha256(frame).hexdigest() == digest
+
+    def test_corpus_covers_every_golden_frame(self):
+        assert set(_golden_messages()) == set(GOLDEN_FRAMES)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FRAMES))
+    def test_frame_round_trips(self, name):
+        message = _golden_messages()[name]
+        frame = message.pack()
+        for buffer in (frame, memoryview(frame)):
+            decoded = RPCMessage.unpack(buffer)
+            assert (decoded.program, decoded.version) == (message.program, message.version)
+            assert (decoded.procedure, decoded.mtype, decoded.serial, decoded.status) == (
+                message.procedure,
+                message.mtype,
+                message.serial,
+                message.status,
+            )
+            assert decoded.body == message.body
+            assert decoded.trace == message.trace
+            assert decoded.pack() == frame
+
+    def test_stream_frame_packs_the_golden_chunk(self):
+        from repro.stream import stream_frame
+
+        message = _golden_messages()["stream_chunk_256k"]
+        frame = stream_frame(
+            message.procedure, message.serial, ReplyStatus.CONTINUE, memoryview(_GOLDEN_CHUNK)
+        )
+        assert frame == message.pack()

@@ -6,7 +6,32 @@ import pytest
 
 from repro.errors import RPCError
 from repro.rpc.xdr import XdrDecoder, XdrEncoder, decode_value, encode_value
+from repro.core.states import DomainState
 from repro.util.typedparams import ParamType, TypedParameter
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+class _Record(dict):
+    pass
+
+
+class _Names(list):
+    pass
 
 
 class TestPrimitives:
@@ -123,6 +148,9 @@ class TestValueCodec:
             {},
             {"a": 1, "b": [True, {"c": "d"}]},
             {"nested": {"deep": {"deeper": [1, 2, 3]}}},
+            DomainState.CRASHED,
+            _Name("sub-str"),
+            [False, True, DomainState.PMSUSPENDED, _Name("x")],
         ],
     )
     def test_round_trip(self, value):
@@ -171,6 +199,42 @@ class TestValueCodec:
         data = encode_value([1, 2, 3])[:-4]
         with pytest.raises(RPCError):
             decode_value(data)
+
+    def test_encode_into_a_fresh_encoder_keeps_the_output(self):
+        # an empty encoder has len() 0 and so is falsy; it must still be
+        # the one written to
+        enc = XdrEncoder()
+        data = encode_value("hi", enc)
+        assert enc.data() == data == XdrEncoder().pack_uint(5).pack_string("hi").data()
+
+    def test_encode_appends_to_a_used_encoder(self):
+        enc = XdrEncoder().pack_uint(7)
+        data = encode_value(None, enc)
+        assert data == b"\x00\x00\x00\x07" + b"\x00\x00\x00\x00"
+        assert len(enc) == 8
+
+    @pytest.mark.parametrize(
+        "value, plain",
+        [
+            (DomainState.RUNNING, int(DomainState.RUNNING)),
+            (ParamType.ULLONG, 4),
+            (_Name("web1"), "web1"),
+            ({"state": DomainState.PAUSED, "name": _Name("db")}, {"state": 3, "name": "db"}),
+            ([True, _Name(""), DomainState.SHUTOFF, False], [True, "", 5, False]),
+            (_Count(-3), -3),
+            (_Ratio(0.5), 0.5),
+            (_Blob(b"abcde"), b"abcde"),
+            (_Record(a=_Name("x")), {"a": "x"}),
+            (_Names(["a", "bc"]), ["a", "bc"]),
+        ],
+    )
+    def test_subclasses_encode_like_their_base_type(self, value, plain):
+        """Exact-type fast paths must send subclasses (IntEnum, str
+        subclasses, bool) down the same tags as the plain values."""
+        assert encode_value(value) == encode_value(plain)
+        decoded = decode_value(encode_value(value))
+        assert decoded == plain
+        assert type(decoded) is type(plain)
 
     def test_bool_not_confused_with_int(self):
         assert decode_value(encode_value(True)) is True

@@ -14,7 +14,7 @@ import repro
 from repro.admin import admin_open
 from repro.cli.virt_admin import main as admin_main
 from repro.daemon.libvirtd import Libvirtd
-from repro.errors import InvalidArgumentError, VirtError
+from repro.errors import InvalidArgumentError, RPCError
 from repro.observability.export import render_trace_tree
 from repro.observability.tracing import SpanContext, Tracer
 from repro.rpc.client import RPCClient
@@ -82,6 +82,22 @@ class TestWireFormat:
         odd = RPCMessage(61, MessageType.CALL, 2)
         odd.trace = {"trace_id": 5}  # span_id missing
         assert RPCMessage.unpack(odd.pack()).trace is None
+
+    @pytest.mark.parametrize(
+        "trailer, reason",
+        [
+            ((99).to_bytes(4, "big"), "unknown XDR value tag"),
+            ((8).to_bytes(4, "big") + (1).to_bytes(4, "big"), "underrun"),
+            (bytes(4) + b"\x00\x00", "trailing"),
+        ],
+    )
+    def test_undecodable_trace_bytes_fail_the_frame(self, trailer, reason):
+        """Only a context that decodes degrades to none; bytes after the
+        body that are not one whole XDR value reject the frame."""
+        frame = RPCMessage(61, MessageType.CALL, 1, body={"name": "d"}).pack()
+        frame = (len(frame) + len(trailer)).to_bytes(4, "big") + frame[4:] + trailer
+        with pytest.raises(RPCError, match=reason):
+            RPCMessage.unpack(frame)
 
     def test_from_wire_validation(self):
         assert SpanContext.from_wire({"trace_id": 3, "span_id": 4}) == SpanContext(3, 4)

@@ -73,6 +73,18 @@ class TestExecution:
             )
             assert pool.jobs_completed == 100
 
+    def test_job_is_counted_before_its_future_resolves(self):
+        """A done-callback runs on the worker at delivery; by then the
+        job must already be in ``jobs_completed``."""
+        with WorkerPool(min_workers=1, max_workers=1) as pool:
+            gate = threading.Event()
+            seen = []
+            future = pool.submit(gate.wait, 5)
+            future.add_done_callback(lambda _: seen.append(pool.jobs_completed))
+            gate.set()
+            assert future.result(timeout=5) is True
+            assert seen == [1]
+
     def test_submit_after_shutdown_rejected(self):
         pool = WorkerPool()
         pool.shutdown()
