@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointTree, JobEngine
 from repro.core.driver import Driver
@@ -277,8 +277,14 @@ class StatefulDriver(Driver):
         mutation journals through it before the caller is acknowledged."""
         self._state = journal
 
-    def _journal_write(self, kind: str, key: str, data: Optional[Dict[str, Any]]) -> None:
+    def _journal_write(
+        self, kind: str, key: str, build: Callable[[], Optional[Dict[str, Any]]]
+    ) -> None:
         """Single funnel for journal mutations, with crash injection.
+
+        ``build`` returns the record (``None`` is a tombstone).  It is
+        called only when a journal is attached, so a driver without one
+        builds no record and formats no XML on mutation.
 
         A ``MID_JOURNAL`` crash fires *after* backend reality changed
         but tears this very append: only a partial record reaches disk
@@ -288,6 +294,7 @@ class StatefulDriver(Driver):
         journal = self._state
         if journal is None:
             return
+        data = build()
         plan = self.crash_plan
         if plan is not None and plan.decide(
             CrashPoint.MID_JOURNAL, f"{kind}:{key}", self.backend.clock.now()
@@ -320,53 +327,53 @@ class StatefulDriver(Driver):
             "id": domain_id,
         }
 
-    def _journal_domain(self, name: str) -> None:
-        """Journal the domain's full record (or a tombstone if gone)."""
-        self._journal_write("domain", name, self._serialize_domain(name))
-
-    def _journal_network(self, name: str) -> None:
+    def _serialize_network(self, name: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             config = self._networks.get(name)
-            data = (
-                None
-                if config is None
-                else {
-                    "xml": config.to_xml(),
-                    "active": name in self._active_networks,
-                    "leases": {
-                        mac: dict(info)
-                        for mac, info in self._dhcp_leases.get(name, {}).items()
-                    },
-                }
-            )
-        self._journal_write("network", name, data)
+            if config is None:
+                return None
+            return {
+                "xml": config.to_xml(),
+                "active": name in self._active_networks,
+                "leases": {
+                    mac: dict(info)
+                    for mac, info in self._dhcp_leases.get(name, {}).items()
+                },
+            }
 
-    def _journal_pool(self, name: str) -> None:
+    def _serialize_pool(self, name: str) -> Optional[Dict[str, Any]]:
         with self._lock:
             config = self._pools.get(name)
-            data = (
-                None
-                if config is None
-                else {
-                    "xml": config.to_xml(),
-                    "active": name in self._active_pools,
-                    "volumes": {
-                        vol: vc.to_xml()
-                        for vol, vc in self._pool_volumes.get(name, {}).items()
-                    },
-                }
-            )
-        self._journal_write("pool", name, data)
+            if config is None:
+                return None
+            return {
+                "xml": config.to_xml(),
+                "active": name in self._active_pools,
+                "volumes": {
+                    vol: vc.to_xml()
+                    for vol, vc in self._pool_volumes.get(name, {}).items()
+                },
+            }
+
+    def _journal_domain(self, name: str) -> None:
+        """Journal the domain's full record (or a tombstone if gone)."""
+        self._journal_write("domain", name, lambda: self._serialize_domain(name))
+
+    def _journal_network(self, name: str) -> None:
+        self._journal_write("network", name, lambda: self._serialize_network(name))
+
+    def _journal_pool(self, name: str) -> None:
+        self._journal_write("pool", name, lambda: self._serialize_pool(name))
 
     def _journal_job(self, name: str, job: Optional[Any] = None) -> None:
         """Journal an active job's parameters, or its removal."""
         if job is None:
-            self._journal_write("job", name, None)
+            self._journal_write("job", name, lambda: None)
             return
         self._journal_write(
             "job",
             name,
-            {
+            lambda: {
                 "job_type": job.job_type,
                 "operation": job.operation,
                 "total": job.total_bytes,
@@ -527,7 +534,7 @@ class StatefulDriver(Driver):
         # the bookkeeping now reflects reality: rewrite every record and
         # collapse history so the next recovery replays a minimal tail
         for name in sorted(journal.entries("job")):
-            self._journal_write("job", name, None)
+            self._journal_job(name)
         with self._lock:
             live_domains = set(self._domains)
             networks = sorted(self._networks)

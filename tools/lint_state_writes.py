@@ -259,8 +259,9 @@ def close_over_calls(scans, attribute):
     return closed
 
 
-def lint():
-    source = inspect.getsource(stateful_module)
+def lint(source=None):
+    if source is None:
+        source = inspect.getsource(stateful_module)
     scans = scan_class(ast.parse(source))
     mutates = close_over_calls(scans, "mutates")
     journals = close_over_calls(scans, "journals")
